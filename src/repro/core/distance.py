@@ -1,21 +1,19 @@
-"""Normalized ℓ₁ histogram distance (paper Definition 2) and exact top-k.
+"""Normalized ℓ₁ histogram distance (paper Definition 2).
 
-Two implementations that the tests cross-check against each other and
-against DuckDB:
-
-* numpy — used by the HistSim driver loop on the |V_Z| × |V_X| counts
-  matrix (the paper's statistics engine is likewise in-core);
-* Spark DataFrame — the distributed path: per-candidate histograms via
-  ``GROUP BY``, then the ℓ₁ distance to the target via a join against a
-  (candidate × bin) grid and a ``sum(abs(p − q))`` aggregation.  This is
-  what ``Scan`` (the exact baseline of §5.2) runs, and what computes the
-  "closest candidate to uniform" targets of Table 3.
+One distance implementation, in numpy: :func:`l1_distances` scores a
+|V_Z| × |V_X| counts matrix against a target.  The HistSim driver loop
+runs it on its sampled counts (the paper's statistics engine is likewise
+in-core), ground truth τ* runs it on the exact counts, and
+:func:`candidate_distances` — what the exact ``Scan`` baseline of §5.2
+runs — runs it on the counts of one full ``GROUP BY z, x`` aggregate.
+Spark does the aggregation only; the tests check both against DuckDB.
 """
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
 # ---------------------------------------------------------------------------
@@ -65,7 +63,7 @@ def l1_distances(counts: np.ndarray, target: Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spark path
+# Exact path: one Spark aggregate, scored on the driver
 # ---------------------------------------------------------------------------
 
 
@@ -78,62 +76,21 @@ def candidate_histograms(df: DataFrame, z: str, x: str) -> DataFrame:
     return df.groupBy(z, x).agg(F.count(F.lit(1)).alias("cnt"))
 
 
-def _target_df(df: DataFrame, x: str, target: Mapping) -> DataFrame:
-    """Build a one-row-per-bin DataFrame (x, q) with q normalized."""
-    total = float(sum(target.values()))
-    if not total > 0:
-        raise ValueError("target must have positive total mass")
-    rows = [(k, float(v) / total) for k, v in target.items()]
-    schema_x = df.schema[x].dataType
-    spark = df.sparkSession
-    tdf = spark.createDataFrame(rows, schema=f"{x} string, q double")
-    # Cast the bin column to the data's type so the join keys line up
-    # (targets are specified with python keys, e.g. ints for hours).
-    return tdf.withColumn(x, F.col(x).cast(schema_x))
+def candidate_distances(df: DataFrame, z: str, x: str, target: Mapping) -> pd.DataFrame:
+    """Distance of every candidate's histogram in ``df`` to ``target``.
 
-
-def candidate_distances(df: DataFrame, z: str, x: str, target: Mapping) -> DataFrame:
-    """Distance of every candidate's histogram to ``target``, via Spark.
-
-    ``target`` maps bin value → (unnormalized) mass and must cover every
-    bin it assigns positive probability; bins present in the data but
+    Runs :func:`candidate_histograms` (one Spark job), collects the
+    counts and scores them with :func:`l1_distances`.  ``target`` maps
+    bin value → (unnormalized) mass; bins present in the data but
     missing from ``target`` count as q = 0 (and vice versa), exactly as
     Definition 2's ℓ₁ over the union support.
 
-    Returns a DataFrame (z, ``dist``).  The target is tiny (|V_X| rows),
-    so it is broadcast explicitly — the session fixture disables
-    automatic broadcast to exercise shuffles elsewhere, but the paper's
-    contribution is not join selection.
+    Returns a pandas DataFrame (z, ``dist``), one row per candidate
+    present in ``df``.
     """
-    counts = candidate_histograms(df, z, x)
-    totals = counts.groupBy(z).agg(F.sum("cnt").alias("total"))
-    tdf = _target_df(df, x, target)
-    # Union bin support: bins in the data and bins in the target.
-    bins = counts.select(x).distinct().unionByName(tdf.select(x)).distinct()
-    grid = totals.crossJoin(F.broadcast(bins))
-    cells = (
-        grid.join(counts, on=[z, x], how="left")
-        .join(F.broadcast(tdf), on=[x], how="left")
-        .select(
-            z,
-            (F.coalesce(F.col("cnt"), F.lit(0)) / F.col("total")).alias("p"),
-            F.coalesce(F.col("q"), F.lit(0.0)).alias("q"),
-        )
-    )
-    return cells.groupBy(z).agg(F.sum(F.abs(F.col("p") - F.col("q"))).alias("dist"))
-
-
-def exact_topk(df: DataFrame, z: str, x: str, target: Mapping, k: int) -> list:
-    """Exact top-k candidates by distance — the ``Scan`` answer.
-
-    Ties are broken by candidate value for determinism.  Returns a list
-    of ``Row(z, dist)``.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return (
-        candidate_distances(df, z, x, target)
-        .orderBy(F.col("dist").asc(), F.col(z).asc())
-        .limit(k)
-        .collect()
-    )
+    counts = candidate_histograms(df, z, x).toPandas()
+    hists = counts.pivot(index=z, columns=x, values="cnt")
+    hists = hists.reindex(columns=hists.columns.union(pd.Index(list(target))))
+    q = [target.get(b, 0.0) for b in hists.columns]
+    dist = l1_distances(hists.fillna(0).to_numpy(), q)
+    return pd.DataFrame({z: hists.index.to_numpy(), "dist": dist})

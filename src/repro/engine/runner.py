@@ -88,7 +88,7 @@ class RunResult:
 
 @dataclass
 class ScanResult:
-    """The exact baseline: full Spark aggregation, measured wall time."""
+    """The exact baseline: one full aggregation, measured wall time."""
 
     qid: str
     topk_idx: np.ndarray
@@ -163,9 +163,8 @@ def run_variant(
             # the role of the wasted cache line).
             marks = mark_naive(bitmap, np.flatnonzero(state.active()), batch)
         elif spec.prune:
-            # FastMatch: Algorithm 3 — one vectorized decision per batch
-            # (block-major gather = the whole batch's bits per probe).
-            marks = bitmap_t[batch][:, state.active()].any(axis=1)
+            # FastMatch: Algorithm 3 — one vectorized decision per batch.
+            marks = mark_lookahead(bitmap_t, state.active(), batch)
         else:
             marks = np.ones(len(batch), dtype=bool)
         res.time_decide += time.perf_counter() - t0
@@ -204,18 +203,19 @@ def run_variant(
 
 
 def run_scan(pq: PreparedQuery) -> ScanResult:
-    """The exact ``Scan`` baseline: one full Spark aggregation, timed.
+    """The exact ``Scan`` baseline: one full ``GROUP BY z, x`` pass, timed.
 
-    Computes every candidate's histogram and its distance to the target
-    through the distributed path (``repro.core.distance``), then takes
-    the top-k on the driver.  Always correct; its measured wall time
-    calibrates the cost model's per-tuple I/O rate.
+    One Spark aggregate builds every candidate's histogram; the driver
+    scores them with the numpy ℓ₁ that HistSim uses
+    (:func:`repro.core.distance.candidate_distances`) and takes the
+    top-k.  Always correct; its measured wall time calibrates the cost
+    model's per-tuple I/O rate.
     """
     from repro.core.distance import candidate_distances
 
     t0 = time.perf_counter()
     target_map = {xv: float(q) for xv, q in zip(pq.x_values, pq.target)}
-    pdf = candidate_distances(pq.ds.sdf, pq.spec.z, pq.spec.x, target_map).toPandas()
+    pdf = candidate_distances(pq.ds.sdf, pq.spec.z, pq.spec.x, target_map)
     wall = time.perf_counter() - t0
     zi = pd.Categorical(pdf[pq.spec.z], categories=pq.z_values).codes.astype(np.int64)
     tau = np.full(pq.n_candidates, 2.0)

@@ -60,14 +60,12 @@ def mark_naive(bitmap: np.ndarray, active_idx, block_ids) -> np.ndarray:
     return marks
 
 
-def mark_lookahead(bitmap: np.ndarray, active_mask: np.ndarray, block_ids) -> np.ndarray:
+def mark_lookahead(bitmap_t: np.ndarray, active_mask: np.ndarray, block_ids) -> np.ndarray:
     """Algorithm 3: mark a whole lookahead batch in one vectorized pass.
 
-    Slices the batch columns first (|V_Z| × lookahead), then the active
-    rows — the whole batch's bits are consumed per probe, the numpy
+    Takes the block-major bitmap (n_blocks × |V_Z|, ``bitmap.T``): the
+    batch's rows are gathered first (contiguous), then the active
+    columns — the whole batch's bits are consumed per probe, the numpy
     analog of Algorithm 3's use of a full cache line of bitmap bits.
     """
-    block_ids = np.asarray(block_ids, dtype=np.int64)
-    if not active_mask.any():
-        return np.zeros(len(block_ids), dtype=bool)
-    return bitmap[:, block_ids][active_mask].any(axis=0)
+    return bitmap_t[block_ids][:, active_mask].any(axis=1)

@@ -1,5 +1,5 @@
-"""Normalized ℓ₁ distance: numpy vs Spark vs DuckDB (oracle), + metric
-properties used by Lemmas 1–2."""
+"""Normalized ℓ₁ distance: numpy vs the exact Scan path vs DuckDB
+(oracle), + metric properties used by Lemmas 1–2."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.core.distance import (
     candidate_distances,
     candidate_histograms,
-    exact_topk,
     l1_distances,
     normalize_rows,
     normalize_target,
@@ -72,7 +71,7 @@ def test_lemma1_deviation_to_reconstruction(seed):
     assert np.all(np.abs(tau_est - tau_tru) <= dev + 1e-12)
 
 
-# -- Spark path, oracle-checked ----------------------------------------------
+# -- exact Scan path, oracle-checked ------------------------------------------
 
 
 def _strip(pdf):
@@ -145,34 +144,29 @@ def test_candidate_distances_oracle_partial_target(flights_small):
     )
 
 
+def test_candidate_distances_oracle_target_bin_absent_from_data(flights_small):
+    """A target bin no tuple falls in counts with p = 0 for every candidate."""
+    ds, pdf = flights_small
+    target = {0: 0.5, 1: 0.25, 99: 0.25}
+    got = candidate_distances(ds.sdf, "origin", "departure_hour", target)
+    assert_equivalent(
+        got,
+        _dist_sql("flights", "origin", "departure_hour", target),
+        flights=_strip(pdf),
+    )
+
+
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_spark_distance_matches_numpy(qid, prepared):
-    """The distributed distance equals the numpy ground-truth distances
-    derived from exact counts, for every evaluation query."""
+    """The Spark-aggregated distance equals the numpy ground-truth
+    distances derived from the counts index, for every evaluation query."""
     pq = prepared[qid]
     target_map = dict(zip(pq.x_values, pq.target))
-    pdf = candidate_distances(
-        pq.ds.sdf, pq.spec.z, pq.spec.x, target_map
-    ).toPandas()
+    pdf = candidate_distances(pq.ds.sdf, pq.spec.z, pq.spec.x, target_map)
     got = dict(zip(pdf[pq.spec.z], pdf["dist"]))
     for zi, zv in enumerate(pq.z_values):
         if pq.exact_counts[zi].sum() > 0:
             assert got[zv] == pytest.approx(pq.tau_star[zi], abs=1e-9)
-
-
-def test_exact_topk_matches_numpy(flights_pq):
-    pq = flights_pq
-    target_map = dict(zip(pq.x_values, pq.target))
-    rows = exact_topk(pq.ds.sdf, "origin", "departure_hour", target_map, pq.spec.k)
-    got = [r["origin"] for r in rows]
-    want = [pq.z_values[i] for i in pq.true_topk()]
-    assert got == want
-
-
-def test_exact_topk_bad_k(flights_pq):
-    pq = flights_pq
-    with pytest.raises(ValueError):
-        exact_topk(pq.ds.sdf, "origin", "departure_hour", {0: 1.0}, 0)
 
 
 def test_candidate_distances_zero_mass_target_raises(flights_pq):

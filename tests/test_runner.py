@@ -8,6 +8,7 @@ from repro.tables.metrics import (
     guarantee1_satisfied,
     guarantee2_satisfied,
 )
+from repro.workloads.queries import QUERIES
 
 VARIANTS = sorted(APPROX_VARIANTS)
 
@@ -132,9 +133,11 @@ def test_guarantees_hold(qid, variant, prepared):
 # -- Scan --------------------------------------------------------------------
 
 
-def test_scan_matches_ground_truth(flights_pq):
-    s = run_scan(flights_pq)
-    np.testing.assert_array_equal(s.topk_idx, flights_pq.true_topk())
-    np.testing.assert_allclose(s.tau, flights_pq.tau_star, atol=1e-9)
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_scan_matches_ground_truth(qid, prepared):
+    pq = prepared[qid]
+    s = run_scan(pq)
+    np.testing.assert_array_equal(s.topk_idx, pq.true_topk())
+    np.testing.assert_allclose(s.tau, pq.tau_star, atol=1e-9)
     assert s.wall > 0
-    assert s.n_rows == flights_pq.ds.n_rows
+    assert s.n_rows == pq.ds.n_rows
