@@ -9,9 +9,9 @@ performs one iteration of Algorithm 1's lines 8–14:
 3. select deviations {ε_i} per §3.3 (maximal under Lemma 2);
 4. convert to failure probabilities δ_i via Theorem 1
    (δ_i = min(1, 2^{|V_X|}·e^{−ε_i²n_i/2})), with δ_i = 0 for
-   *exhausted* candidates — ones whose every tuple has been read, so
-   their histogram is exact (the without-replacement endpoint of §4.2
-   Challenge 1);
+   *exhausted* candidates — ones with n_i = N_i, every tuple of their
+   population read, so their histogram is exact (the without-replacement
+   endpoint of §4.2 Challenge 1);
 5. sum into δ^upper.
 
 Termination: HistSim/ScanMatch/SyncMatch/FastMatch stop when
@@ -55,9 +55,12 @@ class HistSimState:
     n_candidates : |V_Z| — number of candidate histograms.
     target : length-|V_X| target vector Q (normalized internally).
     k, eps, delta : the user parameters of Problem 1.
+    population : the N_i of a finite dataset sampled without replacement
+        (n_i = N_i → exhausted); ``None`` when sampling with replacement.
     """
 
-    def __init__(self, n_candidates: int, target, k: int, eps: float, delta: float):
+    def __init__(self, n_candidates: int, target, k: int, eps: float, delta: float,
+                 population=None):
         if n_candidates < 1:
             raise ValueError("need at least one candidate")
         if not 0 < delta < 1:
@@ -73,7 +76,7 @@ class HistSimState:
         self.eps = float(eps)
         self.delta = float(delta)
         self.counts = np.zeros((n_candidates, self.d), dtype=np.int64)
-        self.exhausted = np.zeros(n_candidates, dtype=bool)
+        self.population = None if population is None else np.asarray(population)
         self.n_iterations = 0
         self.last: IterationResult | None = None
 
@@ -91,10 +94,6 @@ class HistSimState:
         """
         np.add.at(self.counts, (np.asarray(z_idx), np.asarray(x_idx)), np.asarray(cnt))
 
-    def mark_exhausted(self, mask_or_idx) -> None:
-        """Declare candidates fully read (their histograms are now exact)."""
-        self.exhausted[mask_or_idx] = True
-
     # -- one iteration of Algorithm 1 --------------------------------------
 
     def iterate(self) -> IterationResult:
@@ -105,7 +104,8 @@ class HistSimState:
         delta_i = np.asarray(
             delta_bound(n, np.maximum(choice.eps, 0.0), self.d), dtype=np.float64
         )
-        delta_i[self.exhausted] = 0.0
+        if self.population is not None:
+            delta_i[n == self.population] = 0.0
         res = IterationResult(
             tau=tau,
             matching=choice.matching,

@@ -4,7 +4,7 @@ Environment variables:
 
 * ``SPARK_MASTER`` — Spark master (default ``local[*]``);
 * ``SPARK_DRIVER_MEM`` — driver heap; derived from the cgroup memory
-  limit when unset;
+  limit (or, without one, from MemTotal) when unset;
 * ``SPARK_SHUFFLE_PARTITIONS`` — ``spark.sql.shuffle.partitions``
   (default 64).
 
@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import os
 
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+_MEMINFO = "/proc/meminfo"
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback.
+    limit > half of MemTotal, clamped to 2–8g (as ROADMAP's Tier-1 command).
 
     The cgroup read is best-effort: some container runtimes (gVisor, for
     one) do not pass the host limit through their sysfs emulation. An unbounded
@@ -30,10 +33,7 @@ def _driver_mem() -> str:
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
+    for p in _CGROUP_LIMITS:
         try:
             raw = open(p).read().strip()
             if not raw or raw == "max":
@@ -45,8 +45,13 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = f"fallback:{_MEMINFO}"
+    try:
+        with open(_MEMINFO) as f:
+            kib = int(f.read().split("MemTotal:")[1].split()[0])
+    except (OSError, IndexError, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"  # half of MemTotal in GiB
 
 
 def configure_env() -> None:

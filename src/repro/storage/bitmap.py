@@ -12,7 +12,8 @@ Two marking procedures mirror the paper's Algorithms 2 and 3:
   batch (Algorithm 3's cache-line-friendly loop order; numpy slicing
   plays the role of using a full cache line of bits per probe).
 
-Tests assert both produce identical marks.
+Tests assert both produce identical marks.  Queries hold one
+block-major array (:func:`bitmap_from_index`); mark_naive probes its ``.T``.
 """
 from __future__ import annotations
 
@@ -40,12 +41,13 @@ def build_bitmap(df: DataFrame, z: str, *, z_values: list, n_blocks: int) -> np.
 
 
 def bitmap_from_index(idx: BlockCountsIndex) -> np.ndarray:
-    """Derive the same bitmap from a prefetched counts index (no extra job)."""
-    out = np.zeros((len(idx.z_values), idx.n_blocks), dtype=bool)
+    """The same bitmap, block-major (n_blocks × |V_Z|), from a prefetched
+    counts index (no extra job); the layout :func:`mark_lookahead` reads."""
+    out = np.zeros((idx.n_blocks, len(idx.z_values)), dtype=bool)
     block_of = np.repeat(
         np.arange(idx.n_blocks, dtype=np.int64), np.diff(idx.offsets)
     )
-    out[idx.z_idx, block_of] = True
+    out[block_of, idx.z_idx] = True
     return out
 
 
@@ -63,8 +65,8 @@ def mark_naive(bitmap: np.ndarray, active_idx, block_ids) -> np.ndarray:
 def mark_lookahead(bitmap_t: np.ndarray, active_mask: np.ndarray, block_ids) -> np.ndarray:
     """Algorithm 3: mark a whole lookahead batch in one vectorized pass.
 
-    Takes the block-major bitmap (n_blocks × |V_Z|, ``bitmap.T``): the
-    batch's rows are gathered first (contiguous), then the active
+    Takes the block-major bitmap (n_blocks × |V_Z|, ``pq.bitmap_t``):
+    the batch's rows are gathered first (contiguous), then the active
     columns — the whole batch's bits are consumed per probe, the numpy
     analog of Algorithm 3's use of a full cache line of bitmap bits.
     """

@@ -119,10 +119,6 @@ class BlockCountsIndex:
         np.add.at(out, (self.z_idx, self.x_idx), self.cnt)
         return out
 
-    def tuples_per_candidate(self) -> np.ndarray:
-        """N_i — total tuples per candidate (row sums of the exact counts)."""
-        return self.exact_counts().sum(axis=1)
-
 
 def build_counts_index(
     df: DataFrame,

@@ -120,7 +120,8 @@ def load_dataset(
 
 @dataclass
 class PreparedQuery:
-    """Everything a variant run needs for one query."""
+    """Everything a variant run needs for one query (one bitmap array,
+    ``bitmap_t``; populations N_i are the row sums of ``exact_counts``)."""
 
     spec: QuerySpec
     ds: LoadedDataset
@@ -129,23 +130,18 @@ class PreparedQuery:
     target: np.ndarray          # length |V_X|, aligned with x_values
     target_desc: str
     counts_index: BlockCountsIndex = field(repr=False, default=None)
-    bitmap: np.ndarray = field(repr=False, default=None)
+    bitmap_t: np.ndarray = field(repr=False, default=None)  # n_blocks × |V_Z|
     exact_counts: np.ndarray = field(repr=False, default=None)
     tau_star: np.ndarray = field(repr=False, default=None)
-    _bitmap_t: np.ndarray = field(repr=False, default=None)
 
     @property
-    def bitmap_t(self) -> np.ndarray:
-        """Block-major copy of the bitmap (n_blocks × |V_Z|), built lazily.
+    def bitmap(self) -> np.ndarray:
+        """The paper's candidate-major view (|V_Z| × n_blocks) of ``bitmap_t``.
 
-        Batch marking and per-batch exhaustion accounting gather whole
-        blocks; the block-major layout makes those row gathers (cheap,
-        contiguous) instead of column gathers over the candidate-major
-        index.
+        A zero-copy transpose: the index is stored once, block-major, so
+        Algorithm 3's batch marking gathers contiguous block rows.
         """
-        if self._bitmap_t is None:
-            self._bitmap_t = np.ascontiguousarray(self.bitmap.T)
-        return self._bitmap_t
+        return self.bitmap_t.T
 
     @property
     def n_candidates(self) -> int:
@@ -185,8 +181,8 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
     """Build indexes, ground truth, and the target for one query.
 
     The per-block counts index comes from one Spark aggregation over the
-    blocked layout; the bitmap and exact ground truth are derived from
-    it (tests verify both against independent Spark/DuckDB paths).
+    blocked layout; the block-major bitmap and exact ground truth come
+    from it (tests check both against independent Spark/DuckDB paths).
     """
     if spec.dataset != ds.name:
         raise ValueError(f"query {spec.qid} does not belong to dataset {ds.name}")
@@ -215,7 +211,7 @@ def prepare(ds: LoadedDataset, spec: QuerySpec) -> PreparedQuery:
         target=target,
         target_desc=desc,
         counts_index=idx,
-        bitmap=bitmap_from_index(idx),
+        bitmap_t=bitmap_from_index(idx),
         exact_counts=exact,
         tau_star=l1_distances(exact, target),
     )

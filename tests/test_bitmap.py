@@ -47,7 +47,7 @@ def test_bitmap_from_index_equals_spark_build(fl_bitmap):
         n_blocks=ds.n_blocks,
         tuples_per_block=ds.tuples_per_block,
     )
-    np.testing.assert_array_equal(bitmap_from_index(idx), bm)
+    np.testing.assert_array_equal(bitmap_from_index(idx), bm.T)
 
 
 def test_bitmap_unknown_value_raises(datasets):

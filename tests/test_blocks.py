@@ -145,13 +145,6 @@ def test_index_gather_empty(fl_index):
     assert len(zi) == len(xi) == len(cnt) == 0
 
 
-def test_index_tuples_per_candidate(fl_index):
-    ds, idx = fl_index
-    per_cand = idx.tuples_per_candidate()
-    assert per_cand.sum() == ds.n_rows
-    assert per_cand.shape == (len(idx.z_values),)
-
-
 def test_index_unknown_value_raises(datasets):
     ds = datasets["flights"]
     with pytest.raises(ValueError):

@@ -72,13 +72,34 @@ def test_unsampled_candidate_has_delta_one_and_tau_two():
     assert res.delta_i[1] == 1.0 and res.delta_i[2] == 1.0
 
 
-def test_exhausted_candidate_has_delta_zero():
-    st = make_state(n_cand=3, d=2, k=1, target=[1, 1])
-    st.update([0, 1, 2], [0, 0, 1], [5, 5, 5])
-    st.mark_exhausted([1])
+# -- exhaustion (sampling without replacement) -------------------------------
+
+
+def test_empty_population_has_delta_zero_at_first_iterate():
+    """A candidate with N_i = 0 (absent from the data) is exact already."""
+    st = HistSimState(3, [1, 1], 1, 0.2, 0.01, population=[20, 0, 20])
+    st.update([0, 2], [0, 1], [5, 5])
     res = st.iterate()
     assert res.delta_i[1] == 0.0
     assert res.delta_i[0] > 0 and res.delta_i[2] > 0
+
+
+def test_fully_read_candidate_has_delta_zero():
+    st = HistSimState(3, [1, 1], 1, 0.2, 0.01, population=[6, 5, 6])
+    st.update([0, 1, 1, 2], [0, 0, 1, 1], [5, 3, 2, 5])
+    res = st.iterate()
+    assert res.n[1] == 5
+    assert res.delta_i[1] == 0.0
+    assert res.delta_i[0] > 0 and res.delta_i[2] > 0
+
+
+def test_one_tuple_short_of_population_is_not_exhausted():
+    st = HistSimState(2, [1, 1], 1, 0.2, 0.01, population=[5, 5])
+    st.update([0, 1], [0, 1], [4, 5])
+    res = st.iterate()
+    assert res.delta_i[0] > 0
+    assert res.delta_i[1] == 0.0
+    assert res.delta_i[0] == pytest.approx(delta_bound(4, max(res.eps_i[0], 0.0), 2))
 
 
 def test_termination_criteria_difference():

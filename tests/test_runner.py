@@ -88,6 +88,27 @@ def test_wraparound_start(flights_pq):
     assert r.tuples_read > 0
 
 
+def test_exhausted_iff_every_block_scanned(prepared):
+    """HistSim's exhaustion rule n_i = N_i picks exactly the candidates
+    whose every bitmap block lies in the range a run has scanned.
+
+    POLICE q1 with 8-block batches stops early with some, not all, of
+    its candidates exhausted (at SF 0.01 the 512-block default and the
+    long-tailed FLIGHTS/TAXI runs read everything before stopping).
+    """
+    pq = prepared["police-q1"]
+    n_blocks = pq.ds.n_blocks
+    start = n_blocks - 100
+    r = run_variant(pq, "scanmatch", start_block=start, lookahead=8)
+    assert r.terminated_early and 100 < r.blocks_read < n_blocks  # wrapped, stopped early
+    scanned = np.zeros(n_blocks, dtype=bool)
+    scanned[(start + np.arange(r.blocks_read)) % n_blocks] = True
+    every_block_scanned = ~(pq.bitmap & ~scanned).any(axis=1)
+    exhausted = r.est_counts.sum(axis=1) == pq.exact_counts.sum(axis=1)
+    np.testing.assert_array_equal(exhausted, every_block_scanned)
+    assert 0 < exhausted.sum() < pq.n_candidates
+
+
 # -- spark mode ≡ replay mode ------------------------------------------------
 
 
